@@ -120,59 +120,79 @@ const massShift = 0.1
 // contributions (the "generated and assembled into a sparse matrix"
 // phase of miniFE) plus a mass shift on the diagonal. b is the unit
 // source vector.
+//
+// Two nodes couple exactly when they share an element, i.e. when each
+// lies in the other's 27-point neighbourhood clipped to the mesh, so the
+// sparsity pattern is known before any value: RowPtr and Cols are filled
+// first, columns in ascending node order. The element sweep then adds
+// into precomputed slots in element order, and the mass shift comes
+// last, so every entry sums its terms in the same order as a per-row
+// accumulator would.
 func Assemble(cfg Config) (*CSR, []float64) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	npx, npy := cfg.Nx+1, cfg.Ny+1
+	np := [3]int{cfg.Nx + 1, cfg.Ny + 1, cfg.Nz + 1}
 	rows := cfg.NumRows()
-	node := func(i, j, k int) int32 { return int32((k*npy+j)*npx + i) }
+	node := func(i, j, k int) int32 { return int32((k*np[1]+j)*np[0] + i) }
+	// nbr returns the first node and the width of coordinate c's clipped
+	// neighbourhood along axis d.
+	nbr := func(c, d int) (lo, w int) {
+		lo, hi := max(c-1, 0), min(c+1, np[d]-1)
+		return lo, hi - lo + 1
+	}
 
+	// A neighbourhood is a product of per-axis ranges whose widths along
+	// an axis of n nodes sum to 3n-2, so the nonzero count factors too.
+	nnz := (3*np[0] - 2) * (3*np[1] - 2) * (3*np[2] - 2)
+	a := &CSR{NumRows: rows, RowPtr: make([]int32, rows+1), Cols: make([]int32, 0, nnz), Vals: make([]float64, nnz)}
+	for k := 0; k < np[2]; k++ {
+		lz, wz := nbr(k, 2)
+		for j := 0; j < np[1]; j++ {
+			ly, wy := nbr(j, 1)
+			for i := 0; i < np[0]; i++ {
+				lx, wx := nbr(i, 0)
+				for z := lz; z < lz+wz; z++ {
+					for y := ly; y < ly+wy; y++ {
+						for x := lx; x < lx+wx; x++ {
+							a.Cols = append(a.Cols, node(x, y, z))
+						}
+					}
+				}
+				a.RowPtr[node(i, j, k)+1] = int32(len(a.Cols))
+			}
+		}
+	}
+
+	// slot returns the Vals index of the entry coupling node (i,j,k) to
+	// its neighbour (x,y,z).
+	slot := func(i, j, k, x, y, z int) int32 {
+		lx, wx := nbr(i, 0)
+		ly, wy := nbr(j, 1)
+		lz, _ := nbr(k, 2)
+		return a.RowPtr[node(i, j, k)] + int32(((z-lz)*wy+(y-ly))*wx+(x-lx))
+	}
 	dx := [8]int{0, 1, 1, 0, 0, 1, 1, 0}
 	dy := [8]int{0, 0, 1, 1, 0, 0, 1, 1}
 	dz := [8]int{0, 0, 0, 0, 1, 1, 1, 1}
-
-	// Structured 27-point stencil: build per-row column sets directly.
-	type entry struct {
-		col int32
-		val float64
-	}
-	rowsAcc := make([]map[int32]float64, rows)
-	for r := range rowsAcc {
-		rowsAcc[r] = make(map[int32]float64, 27)
-	}
 	for ez := 0; ez < cfg.Nz; ez++ {
 		for ey := 0; ey < cfg.Ny; ey++ {
 			for ex := 0; ex < cfg.Nx; ex++ {
-				var n [8]int32
-				for c := 0; c < 8; c++ {
-					n[c] = node(ex+dx[c], ey+dy[c], ez+dz[c])
-				}
 				for i := 0; i < 8; i++ {
-					acc := rowsAcc[n[i]]
+					xi, yi, zi := ex+dx[i], ey+dy[i], ez+dz[i]
 					for j := 0; j < 8; j++ {
-						acc[n[j]] += hexStiffness[i][j]
+						a.Vals[slot(xi, yi, zi, ex+dx[j], ey+dy[j], ez+dz[j])] += hexStiffness[i][j]
 					}
 				}
 			}
 		}
 	}
-
-	a := &CSR{NumRows: rows, RowPtr: make([]int32, rows+1)}
-	for r := 0; r < rows; r++ {
-		acc := rowsAcc[r]
-		acc[int32(r)] += massShift
-		// Deterministic column order.
-		cols := make([]int32, 0, len(acc))
-		for c := range acc {
-			cols = append(cols, c)
+	for k := 0; k < np[2]; k++ {
+		for j := 0; j < np[1]; j++ {
+			for i := 0; i < np[0]; i++ {
+				a.Vals[slot(i, j, k, i, j, k)] += massShift
+			}
 		}
-		sortInt32(cols)
-		for _, c := range cols {
-			a.Cols = append(a.Cols, c)
-			a.Vals = append(a.Vals, acc[c])
-		}
-		a.RowPtr[r+1] = int32(len(a.Cols))
 	}
 
 	// Spatially varying source (a constant b would be an eigenvector of
@@ -182,19 +202,6 @@ func Assemble(cfg Config) (*CSR, []float64) {
 		b[i] = 1 + 0.5*math.Sin(float64(i)*0.37)
 	}
 	return a, b
-}
-
-func sortInt32(s []int32) {
-	// insertion sort: rows have ≤27 entries
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
 }
 
 // Residual returns ‖b − A·x‖₂.

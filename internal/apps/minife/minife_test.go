@@ -1,7 +1,9 @@
 package minife
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -216,5 +218,106 @@ func TestResidualFunction(t *testing.T) {
 	want = math.Sqrt(want)
 	if got := Residual(a, x, b); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Residual(0) = %g, want %g", got, want)
+	}
+}
+
+// assembleReference is the map-based builder Assemble replaced: per-row
+// column→value maps summed in element order, then sorted into CSR. It is
+// kept as the reference the direct CSR fill must match bit for bit.
+func assembleReference(cfg Config) (*CSR, []float64) {
+	npx, npy := cfg.Nx+1, cfg.Ny+1
+	rows := cfg.NumRows()
+	node := func(i, j, k int) int32 { return int32((k*npy+j)*npx + i) }
+	dx := [8]int{0, 1, 1, 0, 0, 1, 1, 0}
+	dy := [8]int{0, 0, 1, 1, 0, 0, 1, 1}
+	dz := [8]int{0, 0, 0, 0, 1, 1, 1, 1}
+	rowsAcc := make([]map[int32]float64, rows)
+	for r := range rowsAcc {
+		rowsAcc[r] = make(map[int32]float64, 27)
+	}
+	for ez := 0; ez < cfg.Nz; ez++ {
+		for ey := 0; ey < cfg.Ny; ey++ {
+			for ex := 0; ex < cfg.Nx; ex++ {
+				var n [8]int32
+				for c := 0; c < 8; c++ {
+					n[c] = node(ex+dx[c], ey+dy[c], ez+dz[c])
+				}
+				for i := 0; i < 8; i++ {
+					acc := rowsAcc[n[i]]
+					for j := 0; j < 8; j++ {
+						acc[n[j]] += hexStiffness[i][j]
+					}
+				}
+			}
+		}
+	}
+	a := &CSR{NumRows: rows, RowPtr: make([]int32, rows+1)}
+	for r := 0; r < rows; r++ {
+		acc := rowsAcc[r]
+		acc[int32(r)] += massShift
+		cols := make([]int32, 0, len(acc))
+		for c := range acc {
+			cols = append(cols, c)
+		}
+		slices.Sort(cols)
+		for _, c := range cols {
+			a.Cols = append(a.Cols, c)
+			a.Vals = append(a.Vals, acc[c])
+		}
+		a.RowPtr[r+1] = int32(len(a.Cols))
+	}
+	b := make([]float64, rows)
+	for i := range b {
+		b[i] = 1 + 0.5*math.Sin(float64(i)*0.37)
+	}
+	return a, b
+}
+
+// TestAssembleMatchesReference pins the direct CSR fill to the map-based
+// builder: same pattern, and every value and source entry bit-identical,
+// on cubic, skewed and the smoke/default-scale meshes.
+func TestAssembleMatchesReference(t *testing.T) {
+	for _, cfg := range []Config{
+		{Nx: 2, Ny: 2, Nz: 2, MaxIters: 1},
+		{Nx: 3, Ny: 5, Nz: 2, MaxIters: 1},
+		{Nx: 24, Ny: 24, Nz: 24, MaxIters: 1},
+		{Nx: 64, Ny: 64, Nz: 64, MaxIters: 1},
+	} {
+		got, gotB := Assemble(cfg)
+		want, wantB := assembleReference(cfg)
+		name := fmt.Sprintf("%dx%dx%d", cfg.Nx, cfg.Ny, cfg.Nz)
+		if got.NumRows != want.NumRows || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Cols, want.Cols) {
+			t.Errorf("%s: sparsity pattern differs from the reference", name)
+			continue
+		}
+		if i := firstBitDiff(got.Vals, want.Vals); i >= 0 {
+			t.Errorf("%s: Vals[%d] = %v, reference %v", name, i, got.Vals[i], want.Vals[i])
+		}
+		if i := firstBitDiff(gotB, wantB); i >= 0 {
+			t.Errorf("%s: b[%d] = %v, reference %v", name, i, gotB[i], wantB[i])
+		}
+	}
+}
+
+// firstBitDiff returns the first index where a and b differ in their
+// float64 bit patterns (or in length, at the shorter one's end), else -1.
+func firstBitDiff(a, b []float64) int {
+	for i := range min(len(a), len(b)) {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// BenchmarkAssemble times the default-scale (64³) matrix build.
+func BenchmarkAssemble(b *testing.B) {
+	cfg := Config{Nx: 64, Ny: 64, Nz: 64, MaxIters: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Assemble(cfg)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"hetbench/internal/apps/appcore"
 	"hetbench/internal/apps/comd"
 	"hetbench/internal/harness/runner"
 	"hetbench/internal/models/modelapi"
@@ -134,6 +135,36 @@ type SpeedupCell struct {
 	KernelMs, TransferMs float64
 }
 
+// modelRun is one GPU model's run in a baseline comparison; t is the
+// compared time (kernel time for kernelOnly apps, else elapsed).
+type modelRun struct {
+	model modelapi.Name
+	res   appcore.Result
+	t     float64
+}
+
+// versusBaseline runs one app's OpenMP baseline on the APU and each GPU
+// model on newMachine, all through the run memo, and returns the
+// baseline's compared time with one modelRun per model in
+// modelapi.All order — the body of every Figure 8, 9 and 10 cell.
+func versusBaseline(cx *runner.Ctx, scale Scale, prec timing.Precision, app string, newMachine func() *sim.Machine) (float64, []modelRun) {
+	w := newWorkloads(scale, prec)
+	r, _ := w.runnerByName(app)
+	compared := func(res appcore.Result) float64 {
+		if r.kernelOnly {
+			return res.KernelNs
+		}
+		return res.ElapsedNs
+	}
+	baseT := compared(memoRun(w, r, cx.Machine(sim.NewAPU), modelapi.OpenMP))
+	var runs []modelRun
+	for _, model := range modelapi.All() {
+		res := memoRun(w, r, cx.Machine(newMachine), model)
+		runs = append(runs, modelRun{model, res, compared(res)})
+	}
+	return baseT, runs
+}
+
 // SpeedupData runs 3 models × {SP, DP} × 5 apps against the OpenMP
 // baseline on the given machine constructor (Figure 8: sim.NewAPU,
 // Figure 9: sim.NewDGPU).
@@ -154,27 +185,16 @@ func SpeedupData(ctx context.Context, scale Scale, newMachine func() *sim.Machin
 	}
 	groups, err := runner.Map(ctx, "speedup", len(combos), func(cx *runner.Ctx, i int) []SpeedupCell {
 		c := combos[i]
-		w := newWorkloads(scale, c.prec)
-		r, _ := w.runnerByName(c.app)
-		base := r.run(cx.Machine(sim.NewAPU), modelapi.OpenMP)
-		baseT := base.ElapsedNs
-		if r.kernelOnly {
-			baseT = base.KernelNs
-		}
+		baseT, runs := versusBaseline(cx, scale, c.prec, c.app, newMachine)
 		var out []SpeedupCell
-		for _, model := range modelapi.All() {
-			res := r.run(cx.Machine(newMachine), model)
-			t := res.ElapsedNs
-			if r.kernelOnly {
-				t = res.KernelNs
-			}
+		for _, mr := range runs {
 			sp := 0.0
-			if t > 0 {
-				sp = baseT / t
+			if mr.t > 0 {
+				sp = baseT / mr.t
 			}
 			out = append(out, SpeedupCell{
-				App: r.name, Model: model, Precision: c.prec, Speedup: sp,
-				KernelMs: res.KernelNs / 1e6, TransferMs: res.TransferNs / 1e6,
+				App: c.app, Model: mr.model, Precision: c.prec, Speedup: sp,
+				KernelMs: mr.res.KernelNs / 1e6, TransferMs: mr.res.TransferNs / 1e6,
 			})
 		}
 		return out
@@ -256,38 +276,18 @@ func ProductivityData(ctx context.Context, scale Scale, newMachine func() *sim.M
 		lines[r.App] = r
 	}
 	return runner.Map(ctx, "productivity", len(AppNames), func(cx *runner.Ctx, i int) ProductivityRow {
-		w := newWorkloads(scale, timing.Double)
-		r, _ := w.runnerByName(AppNames[i])
-		base := r.run(cx.Machine(sim.NewAPU), modelapi.OpenMP)
-		baseT := base.ElapsedNs
-		if r.kernelOnly {
-			baseT = base.KernelNs
-		}
-		l := lines[r.name]
-		row := ProductivityRow{App: r.name}
-		for _, model := range modelapi.All() {
-			res := r.run(cx.Machine(newMachine), model)
-			t := res.ElapsedNs
-			if r.kernelOnly {
-				t = res.KernelNs
-			}
-			var ml int
-			switch model {
+		app := AppNames[i]
+		baseT, runs := versusBaseline(cx, scale, timing.Double, app, newMachine)
+		l := lines[app]
+		row := ProductivityRow{App: app}
+		for _, mr := range runs {
+			switch mr.model {
 			case modelapi.OpenCL:
-				ml = l.OpenCL
+				row.OpenCL = sloc.Productivity(baseT, mr.t, l.OpenCL, l.OpenMP)
 			case modelapi.CppAMP:
-				ml = l.CppAMP
+				row.CppAMP = sloc.Productivity(baseT, mr.t, l.CppAMP, l.OpenMP)
 			case modelapi.OpenACC:
-				ml = l.OpenACC
-			}
-			p := sloc.Productivity(baseT, t, ml, l.OpenMP)
-			switch model {
-			case modelapi.OpenCL:
-				row.OpenCL = p
-			case modelapi.CppAMP:
-				row.CppAMP = p
-			case modelapi.OpenACC:
-				row.OpenACC = p
+				row.OpenACC = sloc.Productivity(baseT, mr.t, l.OpenACC, l.OpenMP)
 			}
 		}
 		return row

@@ -113,10 +113,12 @@ func (r RunRequest) normalize() RunRequest {
 }
 
 // Key is the content address of a request's result: a hex SHA-256 over
-// the identity fields (experiment, scale, seed — never the timeout).
+// the identity fields (experiment, scale, seed — never the timeout). The
+// strings are quoted, so a separator inside a field cannot make two
+// different requests hash alike.
 func Key(r RunRequest) string {
 	r = r.normalize()
-	h := sha256.Sum256([]byte(fmt.Sprintf("hetbench/v1|%s|%s|%d", r.Experiment, r.Scale, r.Seed)))
+	h := sha256.Sum256([]byte(fmt.Sprintf("hetbench/v1|%q|%q|%d", r.Experiment, r.Scale, r.Seed)))
 	return hex.EncodeToString(h[:])
 }
 
