@@ -16,6 +16,7 @@
 //	hetbench -exp fig9 -metrics m.csv      # counters + histogram quantiles as CSV
 //	hetbench -exp perfbaseline -bench-out BENCH_runner.json
 //	hetbench -bench-delta old.json,new.json -bench-threshold 0.2
+//	hetbench -exp fig8 -cpuprofile cpu.out -memprofile mem.out  # go tool pprof
 //
 // Experiment ids: table1 table2 table3 table4 fig7 fig8 fig9 fig10 fig11
 // hc tiles dataregion gridtype scaling profile roofline energy trace
@@ -38,6 +39,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -73,6 +75,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	metricsOut := fs.String("metrics", "", "write the run's counters and histogram quantiles as CSV to this file")
 	benchOut := fs.String("bench-out", "", "write the runner's wall-clock stats as a BENCH_*.json snapshot to this file")
 	benchDelta := fs.String("bench-delta", "", "compare two BENCH_*.json snapshots (OLD,NEW) and exit; nonzero on regression")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (for go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file after the run (for go tool pprof)")
 	benchThreshold := fs.Float64("bench-threshold", 0.2, "tolerated fractional ns/op growth for -bench-delta (0 disables the time gate)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -114,6 +118,40 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	if *seed <= 0 {
 		fmt.Fprintf(stderr, "invalid -seed %d: the seed must be a positive integer\n", *seed)
 		return 2
+	}
+	// Profiles describe the tool's own wall time and allocations; they
+	// go to their files, never stdout. Both are finished on every exit
+	// path below, and a failure to write one fails the run.
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(stderr, "cpuprofile %s: %v\n", *cpuProfile, err)
+				if code == 0 {
+					code = 1
+				}
+			}
+		}()
+	}
+	if *memProfile != "" {
+		defer func() {
+			if err := writeHeapProfile(*memProfile); err != nil {
+				fmt.Fprintf(stderr, "memprofile %s: %v\n", *memProfile, err)
+				if code == 0 {
+					code = 1
+				}
+			}
+		}()
 	}
 	harness.SetSeed(*seed)
 	runner.SetJobs(*jobsFlag) // 0 restores the default (HETBENCH_JOBS or GOMAXPROCS)
@@ -231,6 +269,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		fmt.Fprintf(stderr, "wrote %s (runner suite)\n", *benchOut)
 	}
 	return 0
+}
+
+// writeHeapProfile writes the heap profile as of a fresh garbage
+// collection, so it shows what the run left live and what it allocated.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeRunnerBench snapshots the accumulated runner stats as the

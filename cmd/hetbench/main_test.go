@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -156,5 +158,36 @@ func TestRunFleetSeedDeterminism(t *testing.T) {
 	}
 	if render("3") == a {
 		t.Fatal("-seed 3 reproduced -seed 1's output exactly")
+	}
+}
+
+// -cpuprofile and -memprofile write non-empty profiles and leave stdout
+// byte-identical to a run without them; an unwritable profile path fails
+// the run.
+func TestRunProfilesKeepStdout(t *testing.T) {
+	args := []string{"-exp", "fig8", "-scale", "smoke"}
+	var plain, profiled, stderr bytes.Buffer
+	if code := run(context.Background(), args, &plain, &stderr); code != 0 {
+		t.Fatalf("run(%v) = %d, stderr: %s", args, code, stderr.String())
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	pargs := append([]string{"-cpuprofile", cpu, "-memprofile", mem}, args...)
+	if code := run(context.Background(), pargs, &profiled, &stderr); code != 0 {
+		t.Fatalf("run(%v) = %d, stderr: %s", pargs, code, stderr.String())
+	}
+	if plain.String() != profiled.String() {
+		t.Errorf("stdout with profiles differs from stdout without:\n%s\nvs\n%s", profiled.String(), plain.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s missing or empty (err %v)", path, err)
+		}
+	}
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		bad := append([]string{flag, filepath.Join(dir, "missing", "p.out")}, args...)
+		if code := run(context.Background(), bad, &bytes.Buffer{}, &bytes.Buffer{}); code != 1 {
+			t.Errorf("run(%v) = %d, want 1 for an unwritable profile", bad, code)
+		}
 	}
 }

@@ -6,6 +6,7 @@ package appcore
 
 import (
 	"fmt"
+	"sync"
 
 	"hetbench/internal/models/modelapi"
 	"hetbench/internal/sim/cache"
@@ -81,6 +82,39 @@ func Flops(p timing.Precision, n float64) (sp, dp float64) {
 // serial walk.
 func Streams(dev *device.Device) int {
 	return dev.ComputeUnits * 8
+}
+
+// PerDevice memoizes a value a problem builds for each accelerator it
+// runs on: the kernel specs, whose traits come from replaying the
+// problem's address traces through that device's LLC. Such a value is a
+// pure function of the problem and the device's fields, so it is keyed by
+// the device's value and needs no bypass for tracing, faults or
+// co-execution. It lives in its Problem, which bounds it to one entry per
+// device the problem meets; there is no eviction.
+//
+// Get returns the stored value itself, so callers must treat it as
+// read-only; no caller writes into a returned spec map or array. The zero
+// value is ready to use and must not be copied after first use.
+type PerDevice[T any] struct {
+	mu   sync.Mutex
+	vals map[device.Device]T
+}
+
+// Get returns the value for dev, calling build on the first request for
+// dev's value. Concurrent callers wait for one build; a panicking build
+// stores nothing.
+func (p *PerDevice[T]) Get(dev *device.Device, build func() T) T {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if v, ok := p.vals[*dev]; ok {
+		return v
+	}
+	v := build()
+	if p.vals == nil {
+		p.vals = map[device.Device]T{}
+	}
+	p.vals[*dev] = v
+	return v
 }
 
 // Traits replays a sampled address trace (byte addresses, each touching

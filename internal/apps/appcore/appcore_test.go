@@ -2,6 +2,8 @@ package appcore
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -154,5 +156,68 @@ func TestStreams(t *testing.T) {
 	}
 	if got := Streams(device.A10_7850K()); got != 64 {
 		t.Errorf("Streams(APU) = %d, want 64", got)
+	}
+}
+
+// PerDevice builds once per device value: a copy of a device hits, a
+// device differing in one field builds its own entry.
+func TestPerDeviceKeysByValue(t *testing.T) {
+	var memo PerDevice[int]
+	builds := 0
+	get := func(dev *device.Device) int {
+		return memo.Get(dev, func() int { builds++; return dev.ComputeUnits })
+	}
+	apu, dgpu := device.A10_7850K(), device.R9280X()
+	if get(apu) != 8 || get(dgpu) != 32 || get(device.A10_7850K()) != 8 || get(dgpu) != 32 {
+		t.Fatal("Get returned another device's value")
+	}
+	if builds != 2 {
+		t.Errorf("%d builds for two device values, want 2", builds)
+	}
+	slow := device.A10_7850K()
+	slow.MemClockMHz = 480
+	if get(slow) != 8 || builds != 3 {
+		t.Errorf("a device with another clock shared an entry (%d builds, want 3)", builds)
+	}
+}
+
+// A panicking build stores nothing, so the next Get builds again.
+func TestPerDevicePanicStoresNothing(t *testing.T) {
+	var memo PerDevice[int]
+	dev := device.R9280X()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the build's panic did not reach the caller")
+			}
+		}()
+		memo.Get(dev, func() int { panic("injected") })
+	}()
+	if got := memo.Get(dev, func() int { return 7 }); got != 7 {
+		t.Errorf("Get after a panicking build = %d, want a fresh build's 7", got)
+	}
+}
+
+// Concurrent callers of one device share a single build.
+func TestPerDeviceConcurrentGetBuildsOnce(t *testing.T) {
+	var memo PerDevice[int]
+	var builds atomic.Int32
+	var wg sync.WaitGroup
+	got := make([]int, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = memo.Get(device.R9280X(), func() int { return int(builds.Add(1)) })
+		}()
+	}
+	wg.Wait()
+	if builds.Load() != 1 {
+		t.Errorf("%d builds under 8 concurrent callers, want 1", builds.Load())
+	}
+	for i, v := range got {
+		if v != 1 {
+			t.Errorf("caller %d got %d, want the single build's 1", i, v)
+		}
 	}
 }

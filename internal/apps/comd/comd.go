@@ -351,7 +351,7 @@ func (s *State) forceTrace(elt, streams int) []uint64 {
 // machine's accelerator LLC from the real link-cell gather pattern.
 func (s *State) Specs(m *sim.Machine, prec timing.Precision) map[string]modelapi.KernelSpec {
 	elt := int(appcore.EltBytes(prec))
-	trace := s.forceTrace(elt, concurrentStreams(m))
+	trace := s.forceTrace(elt, appcore.Streams(m.Accelerator()))
 	fMiss, fCoal, _ := appcore.Traits(m.Accelerator(), trace, 3*elt)
 
 	stream := make([]uint64, 1<<15)
@@ -371,14 +371,7 @@ func (s *State) Specs(m *sim.Machine, prec timing.Precision) map[string]modelapi
 // gather (the Table I number: 26%).
 func (s *State) MeasuredMissRate(m *sim.Machine, prec timing.Precision) float64 {
 	elt := int(appcore.EltBytes(prec))
-	trace := s.forceTrace(elt, concurrentStreams(m))
+	trace := s.forceTrace(elt, appcore.Streams(m.Accelerator()))
 	_, _, acc := appcore.Traits(m.Accelerator(), trace, 3*elt)
 	return acc
-}
-
-// concurrentStreams approximates how many independent wavefront positions
-// walk the box at once: each CU keeps several waves resident (GCN runs up
-// to 40; 8 is a typical active set under register pressure).
-func concurrentStreams(m *sim.Machine) int {
-	return m.Accelerator().ComputeUnits * 8
 }

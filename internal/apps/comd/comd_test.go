@@ -195,3 +195,40 @@ func TestMeasuredMissRateBand(t *testing.T) {
 		t.Errorf("CoMD measured LLC miss rate = %.3f, want moderate (Table I: 0.26)", miss)
 	}
 }
+
+// The memoized specs, fetched after the problem ran on the other machine,
+// equal a cold problem's, and a fresh state's, bit for bit on every
+// machine and precision.
+func TestSpecMemoMatchesColdBuild(t *testing.T) {
+	machines := []func() *sim.Machine{sim.NewAPU, sim.NewDGPU}
+	for _, prec := range []timing.Precision{timing.Single, timing.Double} {
+		for i, mk := range machines {
+			other := machines[1-i]()
+			p := NewProblem(smallCfg(), prec)
+			p.specs(other)
+			m := mk()
+			got := p.specs(m)
+			for _, want := range []map[string]modelapi.KernelSpec{
+				NewProblem(p.Cfg, prec).specs(mk()),
+				NewState(p.Cfg).Specs(mk(), prec),
+			} {
+				if len(got) != len(want) {
+					t.Fatalf("%s %s: %d memoized specs, want %d", m.Name(), prec, len(got), len(want))
+				}
+				for k := range want {
+					if !sameSpec(got[k], want[k]) {
+						t.Errorf("%s %s %s: memoized spec %+v, cold %+v", m.Name(), prec, k, got[k], want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameSpec compares two kernel specs field by field, floats by bit
+// pattern.
+func sameSpec(a, b modelapi.KernelSpec) bool {
+	return a.Name == b.Name && a.Class == b.Class &&
+		math.Float64bits(a.MissRate) == math.Float64bits(b.MissRate) &&
+		math.Float64bits(a.Coalesce) == math.Float64bits(b.Coalesce)
+}

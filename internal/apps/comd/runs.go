@@ -24,6 +24,8 @@ const rebuildEvery = 10
 type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
+
+	specMemo appcore.PerDevice[map[string]modelapi.KernelSpec]
 }
 
 // NewProblem validates and wraps a configuration.
@@ -32,6 +34,15 @@ func NewProblem(cfg Config, prec timing.Precision) *Problem {
 		panic(err)
 	}
 	return &Problem{Cfg: cfg, Precision: prec}
+}
+
+// specs returns the kernel specs for the machine's accelerator,
+// characterized once per accelerator on the initial lattice, which
+// NewState builds deterministically: every run starts from that state.
+func (p *Problem) specs(m *sim.Machine) map[string]modelapi.KernelSpec {
+	return p.specMemo.Get(m.Accelerator(), func() map[string]modelapi.KernelSpec {
+		return NewState(p.Cfg).Specs(m, p.Precision)
+	})
 }
 
 type arrayGroup struct {
@@ -202,7 +213,7 @@ func (p *Problem) result(m *sim.Machine, model modelapi.Name, s *State) appcore.
 func (p *Problem) RunOpenMP(m *sim.Machine) appcore.Result {
 	m.ResetClock()
 	s := NewState(p.Cfg)
-	p.run(m, s, s.Specs(m, p.Precision), &ompDriver{rt: openmp.New(m)}, false)
+	p.run(m, s, p.specs(m), &ompDriver{rt: openmp.New(m)}, false)
 	return p.result(m, modelapi.OpenMP, s)
 }
 
@@ -220,7 +231,7 @@ func (p *Problem) RunOpenCL(m *sim.Machine) appcore.Result {
 			cells = buf
 		}
 	}
-	p.run(m, s, s.Specs(m, p.Precision), &clDriver{q: q, cells: cells}, true)
+	p.run(m, s, p.specs(m), &clDriver{q: q, cells: cells}, true)
 	q.EnqueueReadBuffer(ctx.CreateBuffer("comd.force", p.groups(s)[2].bytes))
 	q.Finish()
 	return p.result(m, modelapi.OpenCL, s)
@@ -241,7 +252,7 @@ func (p *Problem) RunOpenCLFlat(m *sim.Machine) appcore.Result {
 			cells = buf
 		}
 	}
-	p.run(m, s, s.Specs(m, p.Precision), &clDriver{q: q, cells: cells}, false)
+	p.run(m, s, p.specs(m), &clDriver{q: q, cells: cells}, false)
 	return p.result(m, modelapi.OpenCL, s)
 }
 
@@ -260,7 +271,7 @@ func (p *Problem) RunCppAMP(m *sim.Machine) appcore.Result {
 			cells = v
 		}
 	}
-	p.run(m, s, s.Specs(m, p.Precision), &ampDriver{rt: rt, views: views, cells: cells}, true)
+	p.run(m, s, p.specs(m), &ampDriver{rt: rt, views: views, cells: cells}, true)
 	views[2].Synchronize() // forces + energies
 	return p.result(m, modelapi.CppAMP, s)
 }
@@ -277,7 +288,7 @@ func (p *Problem) RunOpenACC(m *sim.Machine) appcore.Result {
 		clauses = append(clauses, openacc.Copy(g.name, g.bytes))
 	}
 	region := rt.Data(clauses...)
-	p.run(m, s, s.Specs(m, p.Precision), &accDriver{rt: rt}, false)
+	p.run(m, s, p.specs(m), &accDriver{rt: rt}, false)
 	region.End()
 	return p.result(m, modelapi.OpenACC, s)
 }

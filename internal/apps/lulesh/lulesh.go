@@ -11,6 +11,7 @@ import (
 	"hetbench/internal/models/opencl"
 	"hetbench/internal/models/openmp"
 	"hetbench/internal/sim"
+	"hetbench/internal/sim/device"
 	"hetbench/internal/sim/exec"
 	"hetbench/internal/sim/timing"
 )
@@ -23,6 +24,8 @@ type Problem struct {
 	Cfg       Config
 	Precision timing.Precision
 	Mesh      *Mesh
+
+	specMemo appcore.PerDevice[*[NumKernels]modelapi.KernelSpec]
 }
 
 // NewProblem builds the mesh for a configuration.
@@ -68,11 +71,17 @@ func (p *Problem) group(name string) arrayGroup {
 // ---------------------------------------------------------------------
 // Characterization: kernel specs with traits measured on the machine.
 
-// specs builds the per-kernel memory traits by replaying realistic address
-// traces (built from the actual mesh connectivity) through the
-// accelerator's LLC model.
+// specs returns the per-kernel specs for the machine's accelerator,
+// characterized once per accelerator.
 func (p *Problem) specs(m *sim.Machine) *[NumKernels]modelapi.KernelSpec {
 	dev := m.Accelerator()
+	return p.specMemo.Get(dev, func() *[NumKernels]modelapi.KernelSpec { return p.characterize(dev) })
+}
+
+// characterize builds the per-kernel memory traits by replaying realistic
+// address traces (built from the actual mesh connectivity) through the
+// device's LLC model.
+func (p *Problem) characterize(dev *device.Device) *[NumKernels]modelapi.KernelSpec {
 	elt := int(appcore.EltBytes(p.Precision))
 	mesh := p.Mesh
 	ne, nn := mesh.NumElem, mesh.NumNode

@@ -250,3 +250,31 @@ func TestMeasuredTraitsInTable1Band(t *testing.T) {
 		t.Errorf("LULESH measured LLC miss rate = %.2f, want low (Table I: 0.11)", miss)
 	}
 }
+
+// The memoized specs, fetched after the problem ran on the other machine,
+// equal a cold problem's bit for bit on every machine and precision.
+func TestSpecMemoMatchesColdBuild(t *testing.T) {
+	machines := []func() *sim.Machine{sim.NewAPU, sim.NewDGPU}
+	for _, prec := range []timing.Precision{timing.Single, timing.Double} {
+		for i, mk := range machines {
+			other := machines[1-i]()
+			p := NewProblem(smallCfg(), prec)
+			p.specs(other)
+			m := mk()
+			got, want := p.specs(m), NewProblem(p.Cfg, prec).specs(mk())
+			for id := range got {
+				if !sameSpec(got[id], want[id]) {
+					t.Errorf("%s %s: memoized spec %+v, cold %+v", m.Name(), prec, got[id], want[id])
+				}
+			}
+		}
+	}
+}
+
+// sameSpec compares two kernel specs field by field, floats by bit
+// pattern.
+func sameSpec(a, b modelapi.KernelSpec) bool {
+	return a.Name == b.Name && a.Class == b.Class &&
+		math.Float64bits(a.MissRate) == math.Float64bits(b.MissRate) &&
+		math.Float64bits(a.Coalesce) == math.Float64bits(b.Coalesce)
+}

@@ -321,3 +321,38 @@ func BenchmarkAssemble(b *testing.B) {
 		Assemble(cfg)
 	}
 }
+
+// The memoized specs of both SpMV forms, fetched after the problem ran on
+// the other machine, equal a cold problem's bit for bit on every machine
+// and precision.
+func TestSpecMemoMatchesColdBuild(t *testing.T) {
+	machines := []func() *sim.Machine{sim.NewAPU, sim.NewDGPU}
+	for _, prec := range []timing.Precision{timing.Single, timing.Double} {
+		for i, mk := range machines {
+			other := machines[1-i]()
+			p := NewProblem(smallCfg(), prec)
+			p.specs(other, true)
+			p.specs(other, false)
+			m := mk()
+			for _, adaptive := range []bool{false, true} {
+				got, want := p.specs(m, adaptive), NewProblem(p.Cfg, prec).specs(mk(), adaptive)
+				if len(got) != len(want) {
+					t.Fatalf("%s %s adaptive=%v: %d memoized specs, want %d", m.Name(), prec, adaptive, len(got), len(want))
+				}
+				for k := range want {
+					if !sameSpec(got[k], want[k]) {
+						t.Errorf("%s %s adaptive=%v %s: memoized spec %+v, cold %+v", m.Name(), prec, adaptive, k, got[k], want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameSpec compares two kernel specs field by field, floats by bit
+// pattern.
+func sameSpec(a, b modelapi.KernelSpec) bool {
+	return a.Name == b.Name && a.Class == b.Class &&
+		math.Float64bits(a.MissRate) == math.Float64bits(b.MissRate) &&
+		math.Float64bits(a.Coalesce) == math.Float64bits(b.Coalesce)
+}

@@ -11,6 +11,7 @@ import (
 	"hetbench/internal/models/opencl"
 	"hetbench/internal/models/openmp"
 	"hetbench/internal/sim"
+	"hetbench/internal/sim/device"
 	"hetbench/internal/sim/exec"
 	"hetbench/internal/sim/timing"
 )
@@ -45,6 +46,8 @@ type Problem struct {
 	Precision timing.Precision
 	A         *CSR
 	B         []float64
+
+	specMemo appcore.PerDevice[*[2]map[string]modelapi.KernelSpec]
 }
 
 // NewProblem assembles the FE system.
@@ -60,16 +63,53 @@ type SolveResult struct {
 	Residual   float64
 }
 
-// specs builds kernel specs with traits measured on the machine;
-// adaptive selects the CSR-Adaptive SpMV (OpenCL/C++ AMP) versus the
-// scalar row-per-thread form (OpenACC, OpenMP host loop).
+// specs returns kernel specs with traits measured on the machine's
+// accelerator, characterized once per accelerator; adaptive selects the
+// CSR-Adaptive SpMV (OpenCL/C++ AMP) versus the scalar row-per-thread
+// form (OpenACC, OpenMP host loop).
 func (p *Problem) specs(m *sim.Machine, adaptive bool) map[string]modelapi.KernelSpec {
 	dev := m.Accelerator()
-	elt := int(appcore.EltBytes(p.Precision))
-	streams := appcore.Streams(dev)
+	forms := p.specMemo.Get(dev, func() *[2]map[string]modelapi.KernelSpec { return p.characterize(dev) })
+	if adaptive {
+		return forms[1]
+	}
+	return forms[0]
+}
 
-	// SpMV trace: interleaved row walks (val/col streams) plus x-vector
-	// gathers through the real column structure.
+// characterize builds the kernel specs of the scalar (index 0) and
+// adaptive (index 1) SpMV forms by replaying the SpMV and vector traces
+// through the device's LLC. The forms differ only in the SpMV's class and
+// coalescing.
+func (p *Problem) characterize(dev *device.Device) *[2]map[string]modelapi.KernelSpec {
+	elt := int(appcore.EltBytes(p.Precision))
+	sMiss, _, _ := appcore.Traits(dev, p.spmvTrace(dev), elt)
+
+	stream := make([]uint64, 1<<15)
+	for i := range stream {
+		stream[i] = uint64(i * elt)
+	}
+	vMiss, vCoal, _ := appcore.Traits(dev, stream, elt)
+
+	var forms [2]map[string]modelapi.KernelSpec
+	for i, spmv := range []modelapi.KernelSpec{
+		{Name: KSpMV, Class: modelapi.Irregular, MissRate: sMiss, Coalesce: coalesceScalar},
+		{Name: KSpMV, Class: modelapi.Regular, MissRate: sMiss, Coalesce: coalesceAdaptive},
+	} {
+		forms[i] = map[string]modelapi.KernelSpec{
+			KSpMV: spmv,
+			KAxpy: {Name: KAxpy, Class: modelapi.Streaming, MissRate: vMiss, Coalesce: vCoal},
+			KDot:  {Name: KDot, Class: modelapi.Streaming, MissRate: vMiss, Coalesce: vCoal},
+		}
+	}
+	return &forms
+}
+
+// spmvTrace is the SpMV's sampled address trace on dev: interleaved row
+// walks (val/col streams) plus x-vector gathers through the real column
+// structure.
+func (p *Problem) spmvTrace(dev *device.Device) []uint64 {
+	elt := uint64(appcore.EltBytes(p.Precision))
+	streams := appcore.Streams(dev)
 	rows := p.A.NumRows
 	perStream := rows / streams
 	if perStream == 0 {
@@ -86,58 +126,19 @@ func (p *Problem) specs(m *sim.Machine, adaptive bool) map[string]modelapi.Kerne
 				continue
 			}
 			for i := p.A.RowPtr[r]; i < p.A.RowPtr[r+1]; i++ {
-				trace = append(trace, valBase+uint64(i)*uint64(elt))
+				trace = append(trace, valBase+uint64(i)*elt)
 				trace = append(trace, colBase+uint64(i)*4)
-				trace = append(trace, xBase+uint64(p.A.Cols[i])*uint64(elt))
+				trace = append(trace, xBase+uint64(p.A.Cols[i])*elt)
 			}
 		}
 	}
-	sMiss, _, _ := appcore.Traits(dev, trace, elt)
-
-	stream := make([]uint64, 1<<15)
-	for i := range stream {
-		stream[i] = uint64(i * elt)
-	}
-	vMiss, vCoal, _ := appcore.Traits(dev, stream, elt)
-
-	spmv := modelapi.KernelSpec{Name: KSpMV, MissRate: sMiss}
-	if adaptive {
-		spmv.Class, spmv.Coalesce = modelapi.Regular, coalesceAdaptive
-	} else {
-		spmv.Class, spmv.Coalesce = modelapi.Irregular, coalesceScalar
-	}
-	return map[string]modelapi.KernelSpec{
-		KSpMV: spmv,
-		KAxpy: {Name: KAxpy, Class: modelapi.Streaming, MissRate: vMiss, Coalesce: vCoal},
-		KDot:  {Name: KDot, Class: modelapi.Streaming, MissRate: vMiss, Coalesce: vCoal},
-	}
+	return trace
 }
 
 // MeasuredMissRate reports the SpMV per-access LLC miss rate (Table I: 39%).
 func (p *Problem) MeasuredMissRate(m *sim.Machine) float64 {
 	dev := m.Accelerator()
-	elt := int(appcore.EltBytes(p.Precision))
-	streams := appcore.Streams(dev)
-	rows := p.A.NumRows
-	perStream := rows / streams
-	if perStream == 0 {
-		perStream = 1
-	}
-	var trace []uint64
-	for step := 0; step < perStream && len(trace) < 1<<19; step++ {
-		for w := 0; w < streams; w++ {
-			r := w*perStream + step
-			if r >= rows {
-				continue
-			}
-			for i := p.A.RowPtr[r]; i < p.A.RowPtr[r+1]; i++ {
-				trace = append(trace, uint64(i)*uint64(elt))
-				trace = append(trace, (uint64(1)<<33)+uint64(i)*4)
-				trace = append(trace, (uint64(1)<<34)+uint64(p.A.Cols[i])*uint64(elt))
-			}
-		}
-	}
-	_, _, acc := appcore.Traits(dev, trace, elt)
+	_, _, acc := appcore.Traits(dev, p.spmvTrace(dev), int(appcore.EltBytes(p.Precision)))
 	return acc
 }
 

@@ -50,6 +50,8 @@ func (c Config) Validate() error {
 type Problem struct {
 	Cfg Config
 	In  []float64
+
+	specMemo appcore.PerDevice[modelapi.KernelSpec]
 }
 
 // NewProblem builds a deterministic instance.
@@ -86,18 +88,22 @@ func checksum(out []float64) float64 {
 	return s
 }
 
-// spec builds the kernel spec with traits measured on the machine's
-// accelerator LLC: a pure streaming pass.
+// spec returns the kernel spec with traits measured on the machine's
+// accelerator LLC: a pure streaming pass. It is built once per
+// accelerator.
 func (p *Problem) spec(m *sim.Machine) modelapi.KernelSpec {
-	elt := int(appcore.EltBytes(p.Cfg.Precision))
-	// Sampled trace: one pass over (a window of) the input.
-	const sample = 1 << 16
-	addrs := make([]uint64, sample)
-	for i := range addrs {
-		addrs[i] = uint64(i * elt)
-	}
-	miss, coal, _ := appcore.Traits(m.Accelerator(), addrs, elt)
-	return modelapi.KernelSpec{Name: "read-blocksum", Class: modelapi.Streaming, MissRate: miss, Coalesce: coal}
+	dev := m.Accelerator()
+	return p.specMemo.Get(dev, func() modelapi.KernelSpec {
+		elt := int(appcore.EltBytes(p.Cfg.Precision))
+		// Sampled trace: one pass over (a window of) the input.
+		const sample = 1 << 16
+		addrs := make([]uint64, sample)
+		for i := range addrs {
+			addrs[i] = uint64(i * elt)
+		}
+		miss, coal, _ := appcore.Traits(dev, addrs, elt)
+		return modelapi.KernelSpec{Name: "read-blocksum", Class: modelapi.Streaming, MissRate: miss, Coalesce: coal}
+	})
 }
 
 // body is the common kernel body: one work item sums one block

@@ -110,3 +110,28 @@ func TestSinglePrecisionFasterOrEqual(t *testing.T) {
 		t.Errorf("SP kernel (%g) not faster than DP (%g)", tSP, tDP)
 	}
 }
+
+// The memoized spec, fetched after the problem ran on the other machine,
+// equals a cold problem's bit for bit on every machine and precision.
+func TestSpecMemoMatchesColdBuild(t *testing.T) {
+	machines := []func() *sim.Machine{sim.NewAPU, sim.NewDGPU}
+	for _, prec := range []timing.Precision{timing.Single, timing.Double} {
+		for i, mk := range machines {
+			other := machines[1-i]()
+			p := NewProblem(Config{Blocks: 1 << 12, Precision: prec})
+			p.spec(other)
+			m := mk()
+			if got, want := p.spec(m), NewProblem(p.Cfg).spec(mk()); !sameSpec(got, want) {
+				t.Errorf("%s %s: memoized spec %+v, cold %+v", m.Name(), prec, got, want)
+			}
+		}
+	}
+}
+
+// sameSpec compares two kernel specs field by field, floats by bit
+// pattern.
+func sameSpec(a, b modelapi.KernelSpec) bool {
+	return a.Name == b.Name && a.Class == b.Class &&
+		math.Float64bits(a.MissRate) == math.Float64bits(b.MissRate) &&
+		math.Float64bits(a.Coalesce) == math.Float64bits(b.Coalesce)
+}

@@ -113,6 +113,8 @@ type Problem struct {
 	// Material compositions: nuclide ids and number densities.
 	MatNuclides [][]int32
 	MatDensity  [][]float64
+
+	specMemo appcore.PerDevice[modelapi.KernelSpec]
 }
 
 // NewProblem generates the synthetic H-M data set deterministically.
@@ -342,12 +344,15 @@ func (p *Problem) Trace(samples int) []uint64 {
 	return trace
 }
 
-// Specs builds the single kernel's spec from a trace replay on the
-// machine's accelerator LLC.
+// Specs returns the single kernel's spec from a trace replay on the
+// machine's accelerator LLC, built once per accelerator.
 func (p *Problem) Specs(m *sim.Machine) modelapi.KernelSpec {
-	elt := int(appcore.EltBytes(p.Precision))
-	miss, coal, _ := appcore.Traits(m.Accelerator(), p.Trace(4096), elt)
-	return modelapi.KernelSpec{Name: "macroXSLookup", Class: modelapi.Irregular, MissRate: miss, Coalesce: coal}
+	dev := m.Accelerator()
+	return p.specMemo.Get(dev, func() modelapi.KernelSpec {
+		elt := int(appcore.EltBytes(p.Precision))
+		miss, coal, _ := appcore.Traits(dev, p.Trace(4096), elt)
+		return modelapi.KernelSpec{Name: "macroXSLookup", Class: modelapi.Irregular, MissRate: miss, Coalesce: coal}
+	})
 }
 
 // MeasuredMissRate reports the per-access LLC miss rate (Table I: 53%).

@@ -15,14 +15,17 @@
 //     semantics (all items complete phase k before any starts k+1) without
 //     per-item goroutines. Run with RunTiled.
 //
-// Counters are sharded per worker goroutine and merged at the end, so
-// kernels may tally without atomics.
+// Counters are sharded per worker goroutine and merged at the end in
+// worker order, so kernels may tally without atomics and totals are
+// deterministic. Each shard sits on its own cache lines, so workers
+// tallying every item do not contend for one line.
 package exec
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
+	"unsafe"
 )
 
 // Counters aggregates the dynamic work of a launch. Fields are totals
@@ -61,6 +64,14 @@ func (c Counters) PerItem(n int) Counters {
 		LDSBytes:   c.LDSBytes * f,
 		Instrs:     c.Instrs * f,
 	}
+}
+
+// shard is one worker's Counters padded to 128 bytes: two cache lines, so
+// neither a shared line nor the adjacent-line prefetcher couples the
+// shards of neighbouring workers.
+type shard struct {
+	Counters
+	_ [128 - unsafe.Sizeof(Counters{})%128]byte
 }
 
 // WorkItem is the per-item context handed to simple kernels.
@@ -124,7 +135,7 @@ func Run(global int, kernel func(*WorkItem)) Result {
 		panic(fmt.Sprintf("exec: invalid global size %d", global))
 	}
 	nw := workers()
-	shards := make([]Counters, nw)
+	shards := make([]shard, nw)
 	var wg sync.WaitGroup
 	chunk := (global + nw - 1) / nw
 	for w := 0; w < nw; w++ {
@@ -139,7 +150,7 @@ func Run(global int, kernel func(*WorkItem)) Result {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			item := WorkItem{counters: &shards[w]}
+			item := WorkItem{counters: &shards[w].Counters}
 			for i := lo; i < hi; i++ {
 				item.Global = i
 				kernel(&item)
@@ -150,7 +161,7 @@ func Run(global int, kernel func(*WorkItem)) Result {
 
 	var total Counters
 	for i := range shards {
-		total.Add(shards[i])
+		total.Add(shards[i].Counters)
 	}
 	return Result{Items: global, Groups: 1, Counters: total}
 }
@@ -175,7 +186,7 @@ func RunTiled(global, local, ldsFloats int, phases ...Phase) Result {
 	if nw > groups {
 		nw = groups
 	}
-	shards := make([]Counters, nw)
+	shards := make([]shard, nw)
 	var wg sync.WaitGroup
 	chunk := (groups + nw - 1) / nw
 	for w := 0; w < nw; w++ {
@@ -190,7 +201,7 @@ func RunTiled(global, local, ldsFloats int, phases ...Phase) Result {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			g := Group{Size: local, counters: &shards[w]}
+			g := Group{Size: local, counters: &shards[w].Counters}
 			if ldsFloats > 0 {
 				g.LDS = make([]float64, ldsFloats)
 			}
@@ -208,7 +219,7 @@ func RunTiled(global, local, ldsFloats int, phases ...Phase) Result {
 
 	var total Counters
 	for i := range shards {
-		total.Add(shards[i])
+		total.Add(shards[i].Counters)
 	}
 	return Result{Items: global, Groups: groups, Counters: total}
 }

@@ -2,9 +2,12 @@ package exec
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRunCoversAllItems(t *testing.T) {
@@ -190,6 +193,79 @@ func TestCountersAdd(t *testing.T) {
 	want := Counters{SPFlops: 2, DPFlops: 4, LoadBytes: 6, StoreBytes: 8, LDSBytes: 10, Instrs: 12}
 	if c != want {
 		t.Errorf("Add = %+v, want %+v", c, want)
+	}
+}
+
+func TestShardsOwnCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(shard{}); size%128 != 0 {
+		t.Errorf("sizeof(shard) = %d, want a multiple of 128", size)
+	}
+}
+
+// mergeTally is item i's tally in the merge-order test. Item 0 tallies
+// 1e17, whose ulp is 16; every other item tallies 13/32. One small tally
+// is lost against the large one, but a chunk's sum of them is not, so
+// float addition is not associative here and only the per-worker
+// chunking, merged in worker order, reproduces the executor's total.
+func mergeTally(i int) Counters {
+	if i == 0 {
+		return Counters{SPFlops: 1e17}
+	}
+	return Counters{SPFlops: 13.0 / 32}
+}
+
+// chunkSums sums mergeTally the way each of nw workers does: worker w
+// covers a contiguous chunk of the n units (items, or groups of per
+// items) and sums it in index order.
+func chunkSums(n, per, nw int) []Counters {
+	chunk := (n + nw - 1) / nw
+	sums := make([]Counters, nw)
+	for w := range sums {
+		for u := w * chunk; u < (w+1)*chunk && u < n; u++ {
+			for l := 0; l < per; l++ {
+				sums[w].Add(mergeTally(u*per + l))
+			}
+		}
+	}
+	return sums
+}
+
+func merged(sums []Counters) Counters {
+	var total Counters
+	for _, s := range sums {
+		total.Add(s)
+	}
+	return total
+}
+
+func TestMergeOrderIsWorkerOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const items, local = 48, 4
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
+		sums := chunkSums(items, 1, procs)
+		want := merged(sums)
+		reversed := slices.Clone(sums)
+		slices.Reverse(reversed)
+		if procs > 1 && want == merged(chunkSums(items, 1, 1)) && want == merged(reversed) {
+			t.Fatalf("GOMAXPROCS %d: neither sharding nor merge order changes the total; the tallies cannot show them", procs)
+		}
+		got := Run(items, func(w *WorkItem) { w.Tally(mergeTally(w.Global)) }).Counters
+		if got != want {
+			t.Errorf("GOMAXPROCS %d: Run total = %+v, want %+v", procs, got, want)
+		}
+		wantTiled := merged(chunkSums(items/local, local, min(procs, items/local)))
+		got = RunTiled(items, local, 0, func(g *Group, l int) { g.Tally(mergeTally(g.GlobalID(l))) }).Counters
+		if got != wantTiled {
+			t.Errorf("GOMAXPROCS %d: RunTiled total = %+v, want %+v", procs, got, wantTiled)
+		}
+	}
+}
+
+func BenchmarkRunTally(b *testing.B) {
+	c := Counters{SPFlops: 1, LoadBytes: 8, StoreBytes: 8, Instrs: 4}
+	for i := 0; i < b.N; i++ {
+		Run(1<<16, func(w *WorkItem) { w.Tally(c) })
 	}
 }
 
